@@ -1,21 +1,14 @@
 """Adaptive re-planning smoke benchmark (BENCH_replan.json).
 
-Two skew-injection legs drive the runtime plan-mutation engine end to
-end and gate the PR's acceptance criteria:
+A skew-injection leg drives the runtime plan-mutation engine end to end:
+a paced replay turns hot mid-stream — every tuple after the skew point
+lands on one region key and its scrubbing cost jumps — so the fused
+chain (5 ms serial service) falls behind the 3 ms offered rate. The cost
+model must emit a runtime ``Unfuse``; the regained pipeline parallelism
+(2.5 ms/stage in parallel) has to bring post-adapt throughput back to at
+least what the static plan sustains before the skew.
 
-* **hot-key leg** — a paced replay turns hot mid-stream: every tuple
-  after the skew point lands on one region key and its scrubbing cost
-  jumps, so the fused chain (5 ms serial service) falls behind the 3 ms
-  offered rate. The cost model must emit a runtime ``Unfuse``; the
-  regained pipeline parallelism (2.5 ms/stage in parallel) has to bring
-  post-adapt throughput back to at least what the static plan sustains
-  before the skew.
-* **low-fill leg** — a slow trickle through a vectorized chain forms
-  starved blocks (1-2 rows against a 32-row batch), so the per-block
-  conversion overhead stops amortizing. The cost model must flip the
-  chain to scalar via ``SetChainMode``.
-
-Both legs replay the identical records through a static plan and gate
+The leg replays the identical records through a static plan and gates
 divergence 0, mirroring the other benchmark divergence checks. Results
 land in ``BENCH_replan.json`` at the repo root for the CI artifact.
 """
@@ -42,37 +35,21 @@ SRC_DELAY = float(os.environ.get("REPRO_BENCH_REPLAN_SRC_MS", "3.0")) / 1e3
 WORK_S = float(os.environ.get("REPRO_BENCH_REPLAN_WORK_MS", "2.5")) / 1e3
 SKEW_AT = N_RECORDS // 3
 
-#: low-fill leg sizing: bursts of TRICKLE_BURST tuples every
-#: TRICKLE_DELAY. Each burst becomes one edge batch, so the vectorized
-#: chain forms blocks of 4 rows against the plan's 32-row batch size —
-#: fill 0.125, well under the 0.25 cost-model floor.
-N_TRICKLE = int(os.environ.get("REPRO_BENCH_REPLAN_TRICKLE", "220"))
-TRICKLE_BURST = 4
-TRICKLE_DELAY = (
-    float(os.environ.get("REPRO_BENCH_REPLAN_TRICKLE_MS", "16.0")) / 1e3
-)
-
 HOT_KEY = "s0"
 
 
 class PacedSource(Source):
-    """Paced replay that timestamps the onset of the skew phase.
+    """Paced replay that timestamps the onset of the skew phase."""
 
-    ``burst`` > 1 emits that many tuples back-to-back per sleep: the
-    burst lands in one edge batch, so the vectorized chain forms blocks
-    of ``burst`` rows — starved relative to the plan's batch size.
-    """
-
-    def __init__(self, name, records, delay, burst=1):
+    def __init__(self, name, records, delay):
         super().__init__(name)
         self._records = list(records)
         self._delay = delay
-        self._burst = max(1, burst)
         self.skew_onset = None
 
     def __iter__(self):
-        for i, t in enumerate(self._records):
-            if self._delay and i % self._burst == 0:
+        for t in self._records:
+            if self._delay:
                 time.sleep(self._delay)
             if self.skew_onset is None and t.payload.get("hot"):
                 self.skew_onset = time.time()
@@ -107,16 +84,6 @@ def skew_records():
     return out
 
 
-def trickle_records():
-    return [
-        StreamTuple(
-            tau=float(i), job="j", layer=i // 8,
-            specimen=f"s{i % 3}", portion="p0", payload={"v": i},
-        )
-        for i in range(N_TRICKLE)
-    ]
-
-
 def scrub(t):
     if t.payload.get("hot"):
         time.sleep(WORK_S)
@@ -129,60 +96,15 @@ def enrich(t):
     return [t.derive(payload={**t.payload, "b": t.payload["v"] * 2})]
 
 
-def vscrub(t):
-    return [t.derive(payload={**t.payload, "a": t.payload["v"] + 1})]
-
-
-def venrich(t):
-    return [t.derive(payload={**t.payload, "b": t.payload["v"] * 2})]
-
-
-vscrub.process_block = lambda block: block.with_columns(
-    a=block.columns["v"] + 1
-)
-venrich.process_block = lambda block: block.with_columns(
-    b=block.columns["v"] * 2
-)
-
-
-def assign(t):
-    return [t.derive(specimen=f"s{t.payload['v'] % 3}", portion="p0")]
-
-
-def mark(t):
-    return [t.derive(payload={**t.payload, "c": t.payload["v"] + 1000})]
-
-
-def build(records, delay, first, second, burst=1):
+def build(records, delay, first, second):
     """source -> fused two-stage chain -> sink (the adaptable plan)."""
     strata = Strata(engine_mode="threaded")
-    source = PacedSource("src", records, delay, burst=burst)
+    source = PacedSource("src", records, delay)
     sink = TimedSink("out")
     (
         strata.add_source(source, "raw")
         .detect_event("m1", first)
         .detect_event("m2", second, replicable=False)
-        .deliver(sink)
-    )
-    return strata, source, sink
-
-
-def build_trickle(records, delay, burst):
-    """source -> keyed group -> vectorized chain -> sink.
-
-    The chain must sit behind an operator node: source edges never
-    batch, so only the group's batched output edges deliver the
-    multi-tuple runs the vectorized chain turns into blocks.
-    """
-    strata = Strata(engine_mode="threaded")
-    source = PacedSource("src", records, delay, burst=burst)
-    sink = TimedSink("out")
-    (
-        strata.add_source(source, "raw")
-        .partition("parts", assign, replicable=False)
-        .partition("cells", mark)
-        .detect_event("v1", vscrub, replicable=False)
-        .detect_event("v2", venrich, replicable=False)
         .deliver(sink)
     )
     return strata, source, sink
@@ -251,7 +173,7 @@ def test_replan_adaptation_smoke(benchmark, capsys):
 
     controller = state["controller"]
     actions = state["summary"]["actions"]
-    adapt = first_event(controller, {"unfuse", "set_chain_mode"})
+    adapt = first_event(controller, {"unfuse"})
     assert adapt is not None, f"no runtime adaptation fired: {actions}"
     assert actions.get("unfuse", 0) >= 1
     time_to_adapt = adapt["wall_time"] - state["source"].skew_onset
@@ -268,38 +190,6 @@ def test_replan_adaptation_smoke(benchmark, capsys):
         f"post-adapt {post_tput:.0f}/s < pre-skew static {static_pre_tput:.0f}/s"
     )
 
-    # -- low-fill leg: static reference run --------------------------------
-    strata, _, trickle_static = build_trickle(
-        trickle_records(), TRICKLE_DELAY, TRICKLE_BURST
-    )
-    strata.start(DeployConfig(plan=True))
-    strata.wait(timeout=300)
-    trickle_ref = result_keys(trickle_static)
-
-    # -- low-fill leg: starved vectorized blocks must flip to scalar -------
-    strata, source, trickle_sink = build_trickle(
-        trickle_records(), TRICKLE_DELAY, TRICKLE_BURST
-    )
-    trickle_elastic = ElasticConfig(
-        tick_s=0.1, cooldown_s=0.0,
-        replan=ReplanConfig(cooldown_s=0.0, streak_ticks=2),
-    )
-    started = time.time()
-    strata.start(DeployConfig(plan=True, elastic=trickle_elastic))
-    trickle_controller = strata.elastic
-    chain = trickle_controller.chains[0]
-    assert chain.mode == "vectorized"
-    strata.wait(timeout=300)
-
-    trickle_actions = trickle_controller.summary()["actions"]
-    flip = first_event(trickle_controller, {"set_chain_mode"})
-    assert flip is not None, f"no mode flip fired: {trickle_actions}"
-    assert trickle_actions.get("set_chain_mode", 0) >= 1
-    assert chain.mode == "scalar"
-    trickle_time_to_adapt = flip["wall_time"] - started
-    trickle_divergence = divergence(trickle_ref, result_keys(trickle_sink))
-    assert trickle_divergence == 0
-
     payload = {
         "benchmark": "replan_adaptation",
         "config": {
@@ -307,9 +197,6 @@ def test_replan_adaptation_smoke(benchmark, capsys):
             "skew_at": SKEW_AT,
             "source_period_ms": SRC_DELAY * 1e3,
             "hot_stage_cost_ms": WORK_S * 1e3,
-            "trickle_records": N_TRICKLE,
-            "trickle_burst": TRICKLE_BURST,
-            "trickle_period_ms": TRICKLE_DELAY * 1e3,
         },
         "hot_key": {
             "time_to_adapt_s": round(time_to_adapt, 4),
@@ -322,12 +209,6 @@ def test_replan_adaptation_smoke(benchmark, capsys):
             ),
             "divergence": skew_divergence,
         },
-        "low_fill": {
-            "time_to_adapt_s": round(trickle_time_to_adapt, 4),
-            "actions": trickle_actions,
-            "mode_after": chain.mode,
-            "divergence": trickle_divergence,
-        },
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -339,8 +220,6 @@ def test_replan_adaptation_smoke(benchmark, capsys):
             [
                 ["hot-key", adapt["kind"], time_to_adapt, post_tput,
                  skew_divergence],
-                ["low-fill", flip["kind"], trickle_time_to_adapt, "-",
-                 trickle_divergence],
             ],
         ))
         print(

@@ -9,9 +9,11 @@ Four measurements, one JSON artifact (``BENCH_thermal.json``):
 2. **Reconstruction accuracy** — recovered laser power/speed against the
    hidden *actual* (drifted) schedule; gated at a few percent relative.
 3. **Throughput, scalar vs vectorized** — the same forecast pipeline
-   with the plan compiler's columnar path off and on.  The vectorized
-   path replaces per-cell Python loops with the grid kernels, so the
-   speedup is single-thread algorithmic and is gated unconditionally.
+   unfused (one operator per node, tuple at a time) and fused (the
+   chain's block-capable members run array-at-a-time), at the same edge
+   batch size.  The vectorized path replaces per-cell Python loops with
+   the grid kernels, so the speedup is single-thread algorithmic and is
+   gated unconditionally.
 4. **Deploy-mode divergence** — threaded, distributed-tcp,
    distributed-shm and elastic runs of both pipelines must produce
    identical results (exact float comparison: both engine paths reduce
@@ -28,7 +30,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.am.scanpath import ThermalBuildConfig, synthesize_thermal_build
 from repro.bench import format_table
@@ -190,8 +191,8 @@ def test_reconstruction_accuracy(benchmark, profile):
 def test_throughput_scalar_vs_vectorized(benchmark, profile):
     build = _build(_layers())
     modes = {
-        "scalar": PlanConfig(vectorize=False),
-        "vectorized": PlanConfig(vectorize=True),
+        "scalar": PlanConfig(fusion=False),
+        "vectorized": PlanConfig(),
     }
     out: dict[str, dict] = {}
 

@@ -72,9 +72,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="keep operators unfused (one thread per operator)")
     parser.add_argument("--batch-size", type=int, default=32,
                         help="tuples per queue entry on threaded edges (1 = unbatched)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="run fused chains tuple-at-a-time instead of "
-                             "array-at-a-time columnar kernels")
     parser.add_argument("--parallelism", type=int, default=1,
                         help="replicate keyed stages N-ways behind a hash router")
     parser.add_argument("--elastic", action="store_true",
@@ -86,7 +83,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="elastic upper bound on replicas per group")
     parser.add_argument("--replan", action="store_true",
                         help="let the elastic controller rewrite the running "
-                             "plan (fuse/unfuse, mode flips) from load signals; "
+                             "plan (fuse/unfuse) from load signals; "
                              "implies --elastic")
     parser.add_argument("--no-replan", action="store_true",
                         help="force re-planning off even when --elastic is set "
@@ -122,7 +119,6 @@ def _plan_of(args: argparse.Namespace) -> PlanConfig | None:
         fusion=not args.no_fusion,
         edge_batch_size=args.batch_size,
         parallelism=args.parallelism,
-        vectorize=not args.no_vectorize,
     )
 
 

@@ -10,8 +10,6 @@ from workload statistics), so policies now return a sequence of typed
 * :class:`Unfuse`        — break a fused linear chain into per-operator
                            nodes (pipeline parallelism across threads);
 * :class:`Fuse`          — re-fuse a previously unfused chain;
-* :class:`SetChainMode`  — flip a fused chain between scalar and
-                           vectorized (columnar) execution;
 * :class:`Migrate`       — move a pipeline stage to another dist worker;
 * :class:`NoOp`          — explicitly decide nothing (with a reason).
 
@@ -67,24 +65,6 @@ class Unfuse:
 
 
 @dataclass(frozen=True)
-class SetChainMode:
-    """Flip a fused chain's execution mode (``scalar``/``vectorized``)."""
-
-    chain: str
-    mode: str
-    kind = "set_chain_mode"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"chain mode must be 'scalar' or 'vectorized', got {self.mode!r}"
-            )
-
-    def describe(self) -> str:
-        return f"{self.mode} {self.chain}"
-
-
-@dataclass(frozen=True)
 class Migrate:
     """Move pipeline stage ``stage`` onto dist worker ``to_worker``."""
 
@@ -108,7 +88,7 @@ class NoOp:
 
 
 #: The closed set of decisions an AdaptationPolicy may return.
-AdaptationAction = Union[Rescale, Fuse, Unfuse, SetChainMode, Migrate, NoOp]
+AdaptationAction = Union[Rescale, Fuse, Unfuse, Migrate, NoOp]
 
 
 @dataclass(frozen=True)
@@ -120,13 +100,7 @@ class ChainSignals:
     ``members``       the constituent operators' original node names;
     ``queue_fill``    the chain head's input-queue depth / capacity;
     ``busy_fraction`` mean fraction of the tick the chain's node(s) spent
-                      processing;
-    ``block_fill``    mean ColumnarBlock fill since the last tick, as a
-                      fraction of the plan's edge batch size (vectorized
-                      chains only — 0.0 elsewhere);
-    ``blocks_delta``  columnar blocks formed since the last tick;
-    ``block_capable`` at least one member offers a block kernel, so
-                      ``SetChainMode("vectorized")`` is applicable.
+                      processing.
     """
 
     name: str
@@ -135,9 +109,6 @@ class ChainSignals:
     fused: bool
     queue_fill: float = 0.0
     busy_fraction: float = 0.0
-    block_fill: float = 0.0
-    blocks_delta: int = 0
-    block_capable: bool = False
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The controller watches the same signals an operator reads off the
 ``strata-repro top`` table — boundary-queue fill, per-replica busy
-fraction, watermark lag, QoS watchdog violations, columnar block fill —
-assembles them into one :class:`~repro.elastic.actions.WorkloadView` per
-tick, and asks its :class:`~repro.elastic.actions.AdaptationPolicy` for a
-sequence of typed actions. It can apply four plan mutations *while the
+fraction, watermark lag, QoS watchdog violations — assembles them into
+one :class:`~repro.elastic.actions.WorkloadView` per tick, and asks its
+:class:`~repro.elastic.actions.AdaptationPolicy` for a sequence of typed
+actions. It can apply three plan mutations *while the
 query runs*:
 
 * **Rescale** a keyed-replicated group to a new replica count (the
@@ -13,8 +13,6 @@ query runs*:
 * **Unfuse** a fused linear chain into per-operator nodes, regaining
   pipeline parallelism when one thread becomes the bottleneck;
 * **Fuse** an idle unfused chain back into a single node;
-* **SetChainMode** — flip a fused chain between scalar and vectorized
-  (columnar) execution from observed block fill ratios;
 * **Migrate** is delegated to the distributed coordinator via a
   placement hook (moving a stage between forked workers is a process
   operation, not a thread-level splice).
@@ -60,7 +58,6 @@ from ..spe.plan import (
     FusedOperator,
     PlanConfig,
     ReplicaGroupMeta,
-    VectorizedFusedOperator,
     _FusedPart,
     build_replicated_group,
     fuse_linear_chains,
@@ -77,7 +74,6 @@ from .actions import (
     NoOp,
     Rescale,
     ScalePolicyAdapter,
-    SetChainMode,
     Unfuse,
     WorkloadView,
     is_legacy_scale_policy,
@@ -506,22 +502,6 @@ class ElasticController:
             self._config.tick_s * max(1, len(chain.nodes))
         )
         fill = len(chain.boundary) / max(1, chain.boundary.capacity)
-        blocks_delta = 0
-        block_fill = 0.0
-        if chain.fused:
-            op = chain.nodes[0].operator
-            if isinstance(op, VectorizedFusedOperator):
-                blocks_delta = max(0, op.blocks_in - chain.prev_blocks)
-                rows_delta = max(0, op.block_rows_in - chain.prev_block_rows)
-                chain.prev_blocks = op.blocks_in
-                chain.prev_block_rows = op.block_rows_in
-                if blocks_delta:
-                    batch = (
-                        self._plan.edge_batch_size if self._plan is not None else 1
-                    )
-                    block_fill = min(
-                        1.0, rows_delta / blocks_delta / max(1, batch)
-                    )
         return ChainSignals(
             name=chain.name,
             mode=chain.mode,
@@ -529,9 +509,6 @@ class ElasticController:
             fused=chain.fused,
             queue_fill=fill,
             busy_fraction=busy_fraction,
-            block_fill=block_fill,
-            blocks_delta=blocks_delta,
-            block_capable=chain.block_capable,
         )
 
     # -- adaptive batching --------------------------------------------------
@@ -590,8 +567,6 @@ class ElasticController:
             return self._unfuse_chain(chain)
         if isinstance(action, Fuse):
             return self._fuse_chain(chain)
-        if isinstance(action, SetChainMode):
-            return self._set_chain_mode(chain, action.mode)
         return False
 
     def _migrate(self, action: Migrate) -> bool:
@@ -756,15 +731,7 @@ class ElasticController:
         parts = [
             _FusedPart(n.name, n.base_name, n.operator) for n in nodes
         ]
-        vectorize = self._plan is not None and self._plan.vectorize
-        capable = any(
-            bool(getattr(n.operator, "supports_block", False)) for n in nodes
-        )
-        operator: FusedOperator
-        if vectorize and capable:
-            operator = VectorizedFusedOperator(chain.name, parts)
-        else:
-            operator = FusedOperator(chain.name, parts)
+        operator = FusedOperator(chain.name, parts)
         fused = Node(
             chain.name, "operator", operator=operator, router=nodes[-1].router
         )
@@ -788,55 +755,6 @@ class ElasticController:
         logger.info(
             "re-fused chain %s (%s) in %.3fs",
             chain.name, chain.mode, time.monotonic() - started,
-        )
-        return True
-
-    def _set_chain_mode(self, chain: AdaptiveChain, mode: str) -> bool:
-        """Flip a fused chain between scalar and vectorized execution."""
-        if mode not in ("scalar", "vectorized"):
-            raise ElasticError(
-                f"chain mode must be 'scalar' or 'vectorized', got {mode!r}"
-            )
-        if not chain.fused or chain.mode == mode:
-            return False
-        if mode == "vectorized" and not chain.block_capable:
-            self._record_chain_event(
-                "mode_skipped", chain,
-                {"mode": mode, "reason": "no member provides a block variant"},
-            )
-            return False
-        started = time.monotonic()
-        node = chain.nodes[0]
-        chain_exec = self._chain_executors(chain)
-        if not self._drain_chain(
-            chain, frozenset({node.name}), node.name, chain_exec
-        ):
-            return False
-        parts = node.operator.parts
-        operator: FusedOperator
-        if mode == "vectorized":
-            operator = VectorizedFusedOperator(chain.name, parts)
-        else:
-            operator = FusedOperator(chain.name, parts)
-        fresh = Node(
-            chain.name, "operator", operator=operator, router=node.router
-        )
-        fresh.mode_reason = f"replan: flipped to {mode} at runtime"
-        fresh.inputs = list(node.inputs)
-        fresh.outputs = list(node.outputs)
-        self._splice_chain(chain, [fresh], chain_exec)
-        with self._lock:
-            chain.mode = mode
-            chain.last_action = f"mode={mode}"
-            self._count_action("set_chain_mode", time.monotonic() - started)
-        self._record_chain_event(
-            "set_chain_mode",
-            chain,
-            {"mode": mode, "duration_s": round(time.monotonic() - started, 6)},
-        )
-        logger.info(
-            "flipped chain %s to %s in %.3fs",
-            chain.name, mode, time.monotonic() - started,
         )
         return True
 
@@ -909,7 +827,7 @@ class ElasticController:
                 if state is not None:
                     clone_ops[f"{member}::{i}"].restore_state(state)
         if self._plan is not None and self._plan.fusion:
-            new_nodes = fuse_linear_chains(new_nodes, vectorize=self._plan.vectorize)
+            new_nodes = fuse_linear_chains(new_nodes)
         with self._lock:
             self._splice_node_list(group.nodes, new_nodes)
             if self._checkpointer is not None and hasattr(self._checkpointer, "rebind"):

@@ -136,8 +136,7 @@ class ObsContext:
                     node.sink.observer = self._observe_result
             elif node.kind == "source" and hasattr(node.source, "lag_s"):
                 paced.append(node.source)
-            elif node.kind == "operator" and hasattr(node.operator, "enable_member_stats"):
-                node.operator.enable_member_stats()
+            elif node.kind == "operator" and hasattr(node.operator, "member_stats"):
                 fused.append(node.operator)
         with self._lock:
             self._streams = list(streams.values())
@@ -235,10 +234,7 @@ class ObsContext:
         with self._lock:
             fused = list(self._fused)
         for op in fused:
-            counts = op.member_stats()
-            if counts is None:
-                continue
-            for member, (tuples_in, tuples_out) in counts.items():
+            for member, (tuples_in, tuples_out) in op.member_stats().items():
                 labels = (("fused_into", op.name), ("kind", "operator"), ("operator", member))
                 samples.append(Sample("spe_tuples_in_total", labels, tuples_in, "counter"))
                 samples.append(Sample("spe_tuples_out_total", labels, tuples_out, "counter"))
@@ -341,7 +337,7 @@ _HELP = {
     "spe_batch_tuples_out_total": "tuples shipped inside batches",
     "spe_batch_fill_ratio": "mean batch occupancy vs configured batch size",
     "spe_operator_mode": "execution mode per operator (scalar or vectorized)",
-    "spe_blocks_in_total": "columnar blocks formed by a vectorized operator",
+    "spe_blocks_in_total": "columnar blocks formed by a fused operator",
     "spe_block_rows_in_total": "rows processed inside columnar blocks",
     "spe_block_fill_ratio": "mean block occupancy vs configured batch size",
     "spe_last_tau": "newest event time (tau) seen by a node",

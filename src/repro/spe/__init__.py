@@ -44,7 +44,6 @@ from .plan import (
     FusedOperator,
     PlanConfig,
     ReplicaGroupMeta,
-    VectorizedFusedOperator,
     build_replicated_group,
     compile_plan,
     fuse_linear_chains,
@@ -75,7 +74,6 @@ __all__ = [
     "ColumnarBlock",
     "PlanConfig",
     "FusedOperator",
-    "VectorizedFusedOperator",
     "ReplicaGroupMeta",
     "build_replicated_group",
     "compile_plan",

@@ -4,7 +4,7 @@ A :class:`ColumnarBlock` is the columnar twin of a
 :class:`~repro.spe.stream.TupleBatch`: the same run of data tuples, stored
 as one array per field instead of one object per tuple. Operators that
 advertise a ``process_block`` method (see
-:class:`~repro.spe.plan.VectorizedFusedOperator`) transform whole columns
+:class:`~repro.spe.plan.FusedOperator`) transform whole columns
 with numpy kernels — the per-cell stages of the use case drop from one
 Python call per cell to a handful of array operations per image.
 
@@ -28,7 +28,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .stream import TupleBatch, register_weighted_type
+from .stream import TupleBatch
 from .tuples import StreamTuple
 
 __all__ = ["ColumnarBlock"]
@@ -75,9 +75,6 @@ class ColumnarBlock:
         "trace_id",
         "columns",
     )
-
-    #: streams account a block's weight as its row count (see item_weight)
-    _is_columnar_block = True
 
     def __init__(
         self,
@@ -202,6 +199,3 @@ class ColumnarBlock:
             f"ColumnarBlock(rows={len(self)}, "
             f"columns={sorted(self.columns)})"
         )
-
-
-register_weighted_type(ColumnarBlock)

@@ -15,6 +15,7 @@ idea with three passes over the *materialized* node list:
 * **fusion** — collapse linear chains of single-input/single-output
   operators into one :class:`FusedOperator` that executes by direct
   function composition: no intermediate stream, queue, or thread hop;
+  its kernel-compatible members run array-at-a-time;
 * **batched edge transport** — not a graph rewrite: the plan carries an
   edge batch size that :class:`~repro.spe.scheduler.ThreadedScheduler`
   uses to move :class:`~repro.spe.stream.TupleBatch` entries through the
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from .columnar import ColumnarBlock
 from .errors import PlanError
 from .operators.base import Operator
 from .operators.router import HashRouter
@@ -53,16 +55,12 @@ class PlanConfig:
                          (1 = pass disabled).
     ``linger_s``         max time a partially filled batch may wait before
                          being flushed to its edge.
-    ``vectorize``        emit :class:`VectorizedFusedOperator` for fused
-                         chains with at least one block-capable member, so
-                         kernel-compatible stages run array-at-a-time.
     """
 
     fusion: bool = True
     edge_batch_size: int = 32
     parallelism: int = 1
     linger_s: float = 0.005
-    vectorize: bool = True
 
     def __post_init__(self) -> None:
         if self.edge_batch_size < 1:
@@ -88,7 +86,6 @@ class PlanConfig:
             f"fusion={'on' if self.fusion else 'off'}",
             f"batch={self.edge_batch_size}",
             f"parallelism={self.parallelism}",
-            f"vectorize={'on' if self.vectorize else 'off'}",
         ]
         return ", ".join(parts)
 
@@ -107,18 +104,33 @@ class _FusedPart:
 class FusedOperator(Operator):
     """A linear operator chain executed by direct function composition.
 
-    ``process`` cascades each tuple through every constituent in order —
-    the work four threads and three queues used to do happens as plain
-    nested function calls. End-of-stream is cascaded stage by stage so
-    flush ordering is identical to the unfused plan: when stage *i*
-    closes, its ``on_input_closed``/``on_close`` output flows through
-    stages *i+1..n* before stage *i+1* itself is closed.
+    One cascade walks the members in order — the work four threads and
+    three queues used to do happens as plain nested function calls. Each
+    maximal group of consecutive *block-capable* members (the operator
+    advertises ``supports_block``) runs block-to-block over the eligible
+    rows that reach it, however few: the rows convert to a
+    :class:`~repro.spe.columnar.ColumnarBlock` once at the group's entry,
+    each member's ``process_block`` transforms it column-wise, and rows
+    convert back to tuples at the group's exit. Scalar members, and rows
+    a member declares ineligible (punctuation, specimen-less tuples), run
+    the per-tuple path at their exact stream position, so ordering,
+    punctuation semantics, and every counter match the unfused plan.
+    A chain without block-capable members is the same loop with no
+    groups.
+
+    Eligibility is decided at group entry; block kernels must preserve the
+    eligibility invariants downstream stages rely on (they may filter or
+    fan out rows but never clear a specimen or mint punctuation — both
+    use-case kernels satisfy this by construction). Blocks additionally
+    split on payload-schema changes, since a block holds one column set.
+
+    End-of-stream is cascaded stage by stage so flush ordering is
+    identical to the unfused plan: when stage *i* closes, its
+    ``on_input_closed``/``on_close`` output flows through stages
+    *i+1..n* before stage *i+1* itself is closed.
     """
 
     num_inputs = 1
-
-    #: how this chain executes tuples; read by explain()/obs/top
-    execution_mode = "scalar"
 
     def __init__(self, name: str, parts: Iterable[_FusedPart]) -> None:
         super().__init__(name)
@@ -130,17 +142,35 @@ class FusedOperator(Operator):
                 raise ValueError(
                     f"fused constituent {part.name!r} must be single-input"
                 )
-        # bound process methods, resolved once: the cascade loop runs per
-        # tuple per stage and attribute lookups there are measurable
-        self._processes = [part.operator.process for part in self._parts]
-        # bulk per-stage methods where a member offers one (used whenever a
-        # whole run of tuples traverses the chain at once)
-        self._manys = [
-            getattr(part.operator, "process_many", None) for part in self._parts
+        operators = [part.operator for part in self._parts]
+        # bound methods, resolved once: the cascade runs per tuple per
+        # stage and attribute lookups there are measurable
+        self._processes = [op.process for op in operators]
+        self._manys = [getattr(op, "process_many", None) for op in operators]
+        self._block_capable = [
+            bool(getattr(op, "supports_block", False)) for op in operators
         ]
-        # per-constituent (tuples_in, tuples_out), populated only when
-        # observability asks for member-level stats
-        self._member_counts: list[list[int]] | None = None
+        self._block_processes = [
+            getattr(op, "process_block", None) for op in operators
+        ]
+        self._eligibles = [getattr(op, "block_eligible", None) for op in operators]
+        # where the stage group starting at member i ends: one past the
+        # last block-capable member of its run, or i + 1 for a scalar one
+        n = len(operators)
+        self._group_end = [i + 1 for i in range(n)]
+        for i in range(n - 2, -1, -1):
+            if self._block_capable[i] and self._block_capable[i + 1]:
+                self._group_end[i] = self._group_end[i + 1]
+        # per-constituent [tuples_in, tuples_out] (member stats in repro.obs)
+        self._member_counts = [[0, 0] for _ in self._parts]
+        # columnar transport counters (block fill ratio in repro.obs)
+        self.blocks_in = 0
+        self.block_rows_in = 0
+
+    @property
+    def execution_mode(self) -> str:
+        """``vectorized`` when a member runs blocks, else ``scalar``."""
+        return "vectorized" if any(self._block_capable) else "scalar"
 
     @property
     def parts(self) -> list[_FusedPart]:
@@ -150,85 +180,112 @@ class FusedOperator(Operator):
         """Original node names, the keys fused state snapshots under."""
         return [part.name for part in self._parts]
 
-    def _cascade(self, tuples: list[StreamTuple], start: int) -> list[StreamTuple]:
-        """Push tuples through constituents ``start..n-1``."""
-        for i in range(start, len(self._processes)):
-            if not tuples:
-                return tuples
-            if len(tuples) == 1:
-                tuples = self._processes[i](0, tuples[0])
-                continue
-            many = self._manys[i]
-            if many is not None:
-                tuples = many(tuples)
-                continue
-            process = self._processes[i]
-            nxt: list[StreamTuple] = []
-            extend = nxt.extend
-            for t in tuples:
-                out = process(0, t)
-                if out:
-                    extend(out)
-            tuples = nxt
-        return tuples
+    def member_modes(self) -> dict[str, str]:
+        """Execution path per constituent, keyed by original node name."""
+        return {
+            part.name: "block" if capable else "scalar"
+            for part, capable in zip(self._parts, self._block_capable)
+        }
 
-    def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
-        return self._cascade([t], 0)
-
-    def process_many(self, tuples: list[StreamTuple]) -> list[StreamTuple]:
-        """Batch counterpart of :meth:`process`: cascade a whole run.
-
-        Equivalent to processing the run tuple by tuple and concatenating
-        (each stage preserves its input order), but members that offer a
-        bulk method handle the run in one call.
-        """
-        return self._cascade(tuples, 0)
-
-    # -- member-level observability ---------------------------------------
-
-    def enable_member_stats(self) -> None:
-        """Count tuples in/out per constituent (repro.obs; idempotent).
-
-        Swaps the cascade for a counting variant on this *instance* only,
-        so un-observed pipelines keep the zero-overhead loop.
-        """
-        if self._member_counts is None:
-            self._member_counts = [[0, 0] for _ in self._parts]
-            self._cascade = self._cascade_counted  # type: ignore[method-assign]
-
-    def member_stats(self) -> dict[str, tuple[int, int]] | None:
+    def member_stats(self) -> dict[str, tuple[int, int]]:
         """Per-constituent (tuples_in, tuples_out), keyed by original name."""
-        if self._member_counts is None:
-            return None
         return {
             part.name: (counts[0], counts[1])
             for part, counts in zip(self._parts, self._member_counts)
         }
 
-    def _cascade_counted(
-        self, tuples: list[StreamTuple], start: int
-    ) -> list[StreamTuple]:
-        member_counts = self._member_counts
-        for i in range(start, len(self._processes)):
-            if not tuples:
-                return tuples
-            counts = member_counts[i]
-            counts[0] += len(tuples)
-            many = self._manys[i]
-            if many is not None and len(tuples) > 1:
-                tuples = many(tuples)
-                counts[1] += len(tuples)
-                continue
+    def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
+        return self._cascade([t], 0)
+
+    def process_many(self, tuples: list[StreamTuple]) -> list[StreamTuple]:
+        """Cascade a whole run; equal to processing it tuple by tuple."""
+        return self._cascade(tuples, 0)
+
+    def _cascade(self, items: list[StreamTuple], start: int) -> list[StreamTuple]:
+        """Push a run through constituents ``start..n-1``."""
+        n = len(self._parts)
+        i = start
+        while i < n and items:
+            j = self._group_end[i]
+            if self._block_capable[i]:
+                items = self._run_block_group(items, i, j)
+            else:
+                items = self._apply_scalar(items, i)
+            i = j
+        return items
+
+    def _apply_scalar(self, tuples: list[StreamTuple], i: int) -> list[StreamTuple]:
+        """One member's per-tuple path over a run."""
+        counts = self._member_counts[i]
+        counts[0] += len(tuples)
+        many = self._manys[i]
+        if len(tuples) == 1:
+            # like the scheduler, accept a falsy return for "no output"
+            out = self._processes[i](0, tuples[0]) or []
+        elif many is not None:
+            out = many(tuples)
+        else:
             process = self._processes[i]
-            nxt: list[StreamTuple] = []
-            extend = nxt.extend
+            out = []
+            extend = out.extend
             for t in tuples:
-                out = process(0, t)
-                if out:
-                    extend(out)
-            counts[1] += len(nxt)
-            tuples = nxt
-        return tuples
+                got = process(0, t)
+                if got:
+                    extend(got)
+        counts[1] += len(out)
+        return out
+
+    def _run_block_group(
+        self, items: list[StreamTuple], i: int, j: int
+    ) -> list[StreamTuple]:
+        """Stages ``i..j-1`` (all block-capable) over one run of tuples."""
+        eligibles = [e for e in self._eligibles[i:j] if e is not None]
+        out: list[StreamTuple] = []
+        extend = out.extend
+        run: list[StreamTuple] = []
+        run_keys = None
+        for t in items:
+            eligible = True
+            for is_eligible in eligibles:
+                if not is_eligible(t):
+                    eligible = False
+                    break
+            if eligible:
+                keys = t.payload.keys()
+                if run and keys != run_keys:
+                    self._flush_block_run(run, i, j, extend)
+                    run = []
+                run_keys = keys
+                run.append(t)
+                continue
+            if run:
+                self._flush_block_run(run, i, j, extend)
+                run = []
+            # ineligible row: scalar through these stages, in stream order
+            seq = [t]
+            for k in range(i, j):
+                seq = self._apply_scalar(seq, k)
+                if not seq:
+                    break
+            if seq:
+                extend(seq)
+        if run:
+            self._flush_block_run(run, i, j, extend)
+        return out
+
+    def _flush_block_run(self, run: list[StreamTuple], i: int, j: int, extend) -> None:
+        block = ColumnarBlock.from_tuples(run)
+        self.blocks_in += 1
+        self.block_rows_in += len(run)
+        member_counts = self._member_counts
+        for k in range(i, j):
+            counts = member_counts[k]
+            counts[0] += len(block)
+            block = self._block_processes[k](block)
+            counts[1] += len(block)
+            if not len(block):
+                return
+        extend(block.to_tuples())
 
     def on_input_closed(self, input_index: int) -> list[StreamTuple]:
         # Only the chain head observes the node's real input closing; what
@@ -275,154 +332,6 @@ class FusedOperator(Operator):
         return f"FusedOperator({' + '.join(self.part_names())})"
 
 
-class VectorizedFusedOperator(FusedOperator):
-    """A fused chain whose kernel-compatible stages run array-at-a-time.
-
-    Single tuples still take the inherited scalar cascade (a one-row block
-    costs more than it saves); when a run arrives — a
-    :class:`~repro.spe.stream.TupleBatch` from a batched edge — maximal
-    groups of consecutive *block-capable* members execute block-to-block:
-    the run converts to a :class:`~repro.spe.columnar.ColumnarBlock` once
-    at the group's entry, each member's ``process_block`` transforms it
-    column-wise, and rows convert back to tuples only at the group's exit.
-    Members without a block variant (and rows a member declares
-    ineligible: punctuation, specimen-less tuples) run the scalar path at
-    their exact stream position, so ordering, punctuation semantics, and
-    every counter are identical to the scalar chain.
-
-    Eligibility is decided at group entry; block kernels must preserve the
-    eligibility invariants downstream stages rely on (they may filter or
-    fan out rows but never clear a specimen or mint punctuation — both
-    use-case kernels satisfy this by construction). Blocks additionally
-    split on payload-schema changes, since a block holds one column set.
-
-    Checkpointing, end-of-stream cascades, and member naming are inherited
-    unchanged, so snapshots and recovery manifests written under this
-    operator are byte-compatible with scalar fused and unfused plans.
-    """
-
-    execution_mode = "vectorized"
-
-    def __init__(self, name: str, parts: Iterable[_FusedPart]) -> None:
-        super().__init__(name, parts)
-        self._block_capable = [
-            bool(getattr(part.operator, "supports_block", False))
-            for part in self._parts
-        ]
-        self._block_processes = [
-            getattr(part.operator, "process_block", None) for part in self._parts
-        ]
-        self._eligibles = [
-            getattr(part.operator, "block_eligible", None) for part in self._parts
-        ]
-        # columnar transport counters (block fill ratio in repro.obs)
-        self.blocks_in = 0
-        self.block_rows_in = 0
-
-    def member_modes(self) -> dict[str, str]:
-        """Execution mode per constituent, keyed by original node name."""
-        return {
-            part.name: "block" if capable else "scalar"
-            for part, capable in zip(self._parts, self._block_capable)
-        }
-
-    def process_many(self, tuples: list[StreamTuple]) -> list[StreamTuple]:
-        items = list(tuples)
-        n = len(self._parts)
-        i = 0
-        while i < n:
-            if not items:
-                return items
-            if not self._block_capable[i]:
-                items = self._apply_scalar(items, i)
-                i += 1
-                continue
-            j = i + 1
-            while j < n and self._block_capable[j]:
-                j += 1
-            items = self._run_block_group(items, i, j)
-            i = j
-        return items
-
-    def _apply_scalar(self, tuples: list[StreamTuple], i: int) -> list[StreamTuple]:
-        """One scalar stage over a run (member stats included when on)."""
-        counts = self._member_counts[i] if self._member_counts is not None else None
-        if counts is not None:
-            counts[0] += len(tuples)
-        many = self._manys[i]
-        if many is not None:
-            out = many(tuples)
-        else:
-            process = self._processes[i]
-            out = []
-            extend = out.extend
-            for t in tuples:
-                got = process(0, t)
-                if got:
-                    extend(got)
-        if counts is not None:
-            counts[1] += len(out)
-        return out
-
-    def _run_block_group(
-        self, items: list[StreamTuple], i: int, j: int
-    ) -> list[StreamTuple]:
-        """Stages ``i..j-1`` (all block-capable) over one run of tuples."""
-        eligibles = [e for e in self._eligibles[i:j] if e is not None]
-        out: list[StreamTuple] = []
-        extend = out.extend
-        run: list[StreamTuple] = []
-        run_keys = None
-        for t in items:
-            eligible = True
-            for is_eligible in eligibles:
-                if not is_eligible(t):
-                    eligible = False
-                    break
-            if eligible:
-                keys = t.payload.keys()
-                if run and keys != run_keys:
-                    self._flush_block_run(run, i, j, extend)
-                    run = []
-                run_keys = keys
-                run.append(t)
-                continue
-            if run:
-                self._flush_block_run(run, i, j, extend)
-                run = []
-            # ineligible row: scalar through these stages, in stream order
-            seq = [t]
-            for k in range(i, j):
-                seq = self._apply_scalar(seq, k)
-                if not seq:
-                    break
-            if seq:
-                extend(seq)
-        if run:
-            self._flush_block_run(run, i, j, extend)
-        return out
-
-    def _flush_block_run(self, run: list[StreamTuple], i: int, j: int, extend) -> None:
-        from .columnar import ColumnarBlock
-
-        block = ColumnarBlock.from_tuples(run)
-        self.blocks_in += 1
-        self.block_rows_in += len(run)
-        member_counts = self._member_counts
-        for k in range(i, j):
-            if member_counts is not None:
-                member_counts[k][0] += len(block)
-            block = self._block_processes[k](block)
-            if member_counts is not None:
-                member_counts[k][1] += len(block)
-            if not len(block):
-                return
-        extend(block.to_tuples())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"VectorizedFusedOperator({' + '.join(self.part_names())})"
-
-
 # -- fusion pass -----------------------------------------------------------
 
 
@@ -430,7 +339,7 @@ def _consumer_map(nodes: list[Node]) -> dict[int, Node]:
     return {id(s): n for n in nodes for s in n.inputs}
 
 
-def fuse_linear_chains(nodes: list[Node], vectorize: bool = False) -> list[Node]:
+def fuse_linear_chains(nodes: list[Node]) -> list[Node]:
     """Collapse linear operator chains into :class:`FusedOperator` nodes.
 
     A chain grows from a single-input operator node across edges that are
@@ -442,12 +351,8 @@ def fuse_linear_chains(nodes: list[Node], vectorize: bool = False) -> list[Node]
     and merge of a rescalable replica group never fuse either: the elastic
     controller must be able to retire and resplice them by name.
 
-    With ``vectorize``, a chain containing at least one block-capable
-    member (the operator advertises ``supports_block``) becomes a
-    :class:`VectorizedFusedOperator`; otherwise (or when every member is
-    scalar-only) a plain :class:`FusedOperator` is emitted. The decision
-    and its reason are recorded on the fused node (``execution_mode`` /
-    ``mode_reason``) for ``explain()``.
+    The fused node records why members run per tuple (``mode_reason``)
+    next to the operator's ``execution_mode`` for ``explain()``.
     """
     protected: set[str] = set()
     for node in nodes:
@@ -485,23 +390,15 @@ def fuse_linear_chains(nodes: list[Node], vectorize: bool = False) -> list[Node]
             absorbed.add(id(member))
         name = "fused[" + "+".join(m.name for m in chain) + "]"
         parts = [_FusedPart(m.name, m.base_name, m.operator) for m in chain]
-        capable = [
-            bool(getattr(m.operator, "supports_block", False)) for m in chain
-        ]
-        if vectorize and any(capable):
-            operator: FusedOperator = VectorizedFusedOperator(name, parts)
-            scalar_members = [m.name for m, c in zip(chain, capable) if not c]
-            reason = (
-                "scalar members: " + ", ".join(scalar_members)
-                if scalar_members
-                else None
-            )
+        operator = FusedOperator(name, parts)
+        modes = operator.member_modes()
+        scalar_members = [m for m, mode in modes.items() if mode == "scalar"]
+        if len(scalar_members) == len(modes):
+            reason = "no member provides a block variant"
+        elif scalar_members:
+            reason = "scalar members: " + ", ".join(scalar_members)
         else:
-            operator = FusedOperator(name, parts)
-            if not vectorize:
-                reason = "vectorize=off"
-            else:
-                reason = "no member provides a block variant"
+            reason = None
         fused = Node(
             name, "operator", operator=operator, router=chain[-1].router
         )
@@ -704,7 +601,7 @@ def compile_plan(
             nodes, config.parallelism, wrap_single=force_replication
         )
     if config.fusion:
-        nodes = fuse_linear_chains(nodes, vectorize=config.vectorize)
+        nodes = fuse_linear_chains(nodes)
     return nodes
 
 
@@ -744,7 +641,7 @@ def render_plan(
     ]
     fused = len(fused_nodes)
     vectorized = sum(
-        1 for n in fused_nodes if isinstance(n.operator, VectorizedFusedOperator)
+        1 for n in fused_nodes if n.operator.execution_mode == "vectorized"
     )
     summary = f"   {len(nodes)} nodes / {n_streams} streams"
     if fused:

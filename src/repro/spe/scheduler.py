@@ -21,7 +21,6 @@ import time
 from typing import Callable
 
 from .barrier import CheckpointBarrier, RescaleBarrier, is_barrier
-from .columnar import ColumnarBlock
 from .errors import OperatorError
 from .metrics import OperatorStats
 from .query import Node
@@ -218,11 +217,6 @@ class NodeExecutor:
             # control transition can occur mid-batch.
             for t in item:
                 self.handle(input_index, t)
-            return
-        if type(item) is ColumnarBlock:
-            # Blocks normally live *inside* a vectorized fused node; one
-            # crossing an edge re-enters as the equivalent tuple run.
-            self.handle(input_index, item.to_tuples())
             return
         if item is END_OF_STREAM:
             if input_index in self._closed_inputs:

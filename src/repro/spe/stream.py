@@ -46,22 +46,9 @@ class TupleBatch(list):
     __slots__ = ()
 
 
-#: entry types whose capacity weight is their row count; extended by
-#: :func:`register_weighted_type` (repro.spe.columnar registers its block
-#: type here instead of stream importing it, which would be circular)
-_WEIGHTED_TYPES: tuple[type, ...] = (TupleBatch,)
-
-
-def register_weighted_type(cls: type) -> None:
-    """Account entries of ``cls`` by ``len()`` instead of as one tuple."""
-    global _WEIGHTED_TYPES
-    if cls not in _WEIGHTED_TYPES:
-        _WEIGHTED_TYPES = _WEIGHTED_TYPES + (cls,)
-
-
 def item_weight(item: Any) -> int:
     """Tuples an entry contributes to capacity/counter accounting."""
-    return len(item) if type(item) in _WEIGHTED_TYPES else 1
+    return len(item) if type(item) is TupleBatch else 1
 
 
 class Stream:

@@ -1,5 +1,7 @@
 """CLI smoke tests: every subcommand runs and reports."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -54,16 +56,28 @@ def test_monitor_clean_completes(capsys):
 def test_explain_names_vectorized_chains(capsys):
     assert main(["replay", *SMALL, "--explain"]) == 0
     out = capsys.readouterr().out
-    assert "vectorize=on" in out
+    assert "fusion=on" in out
     assert "mode=vectorized" in out
 
 
-def test_no_vectorize_flag_keeps_scalar_chains(capsys):
-    assert main(["replay", *SMALL, "--explain", "--no-vectorize"]) == 0
+def test_no_fusion_flag_is_the_scalar_plan(capsys):
+    assert main(["replay", *SMALL, "--explain", "--no-fusion"]) == 0
     out = capsys.readouterr().out
-    assert "vectorize=off" in out
-    assert "mode=scalar (vectorize=off)" in out
-    assert "mode=vectorized" not in out
+    assert "fusion=off" in out
+    assert "mode=" not in out  # no fused chain, so nothing runs blocks
+    with pytest.raises(SystemExit):
+        main(["replay", *SMALL, "--no-vectorize"])
+
+
+def test_top_paced_run_forms_blocks(capsys):
+    """Paced images reach the fused chain one at a time and still run
+    its block members: the MODE column carries a block fill ratio."""
+    code = main([
+        "top", "--image-px", "120", "--layers", "4", "--cell-edge", "5",
+        "--window", "4", "--refresh", "0.2", "--pace", "0.01",
+    ])
+    assert code == 0
+    assert re.search(r"vectorized \d+%", capsys.readouterr().out)
 
 
 def test_unknown_command_rejected():

@@ -1,5 +1,5 @@
 """Adaptive re-planning: the action algebra, the cost model, and live
-chain rewrites (unfuse/fuse/mode flips) with divergence-zero output."""
+chain rewrites (unfuse/fuse) with divergence-zero output."""
 
 import time
 from collections import Counter
@@ -18,7 +18,6 @@ from repro.elastic import (
     ReplanConfig,
     Rescale,
     ScalePolicyAdapter,
-    SetChainMode,
     Unfuse,
     WorkloadView,
     is_legacy_scale_policy,
@@ -58,7 +57,7 @@ class SlowSource(Source):
 
 def records(n=N_RECORDS):
     # specimen pre-assigned: the chain stages are pure event maps, so no
-    # punctuation minting happens inside the chain under either mode
+    # punctuation minting happens inside the chain, blocks or not
     return [
         StreamTuple(
             tau=float(i), job="j", layer=i // 8,
@@ -129,17 +128,11 @@ def test_action_kinds_and_describe():
     assert "x3" in Rescale("g", 3).describe()
     assert Unfuse("c").kind == "unfuse"
     assert Fuse("c").kind == "fuse"
-    assert SetChainMode("c", "vectorized").kind == "set_chain_mode"
     assert Migrate("stage-1", "worker-2").describe() == (
         "migrate stage-1 -> worker-2"
     )
     assert NoOp().describe() == "noop"
     assert "idle" in NoOp("idle").describe()
-
-
-def test_set_chain_mode_validates_mode():
-    with pytest.raises(ValueError, match="scalar"):
-        SetChainMode("c", "columnar")
 
 
 def test_actions_are_frozen():
@@ -238,8 +231,7 @@ def test_adapter_skips_groups_already_at_target():
 def chain_signals(**kw):
     base = dict(
         name="c", mode="scalar", members=("a", "b"), fused=True,
-        queue_fill=0.0, busy_fraction=0.0, block_fill=0.0,
-        blocks_delta=0, block_capable=False,
+        queue_fill=0.0, busy_fraction=0.0,
     )
     base.update(kw)
     return ChainSignals(**base)
@@ -247,22 +239,6 @@ def chain_signals(**kw):
 
 def decide_chain(policy, signals):
     return policy.decide(WorkloadView(chains={signals.name: signals}))
-
-
-def test_rule_starved_vectorized_goes_scalar():
-    policy = CostModelPolicy(ReplanConfig(streak_ticks=1))
-    signals = chain_signals(mode="vectorized", blocks_delta=5, block_fill=0.1)
-    assert decide_chain(policy, signals) == [
-        SetChainMode(chain="c", mode="scalar")
-    ]
-
-
-def test_rule_backlogged_scalar_goes_vectorized():
-    policy = CostModelPolicy(ReplanConfig(streak_ticks=1))
-    signals = chain_signals(block_capable=True, queue_fill=0.9)
-    assert decide_chain(policy, signals) == [
-        SetChainMode(chain="c", mode="vectorized")
-    ]
 
 
 def test_rule_saturated_chain_unfuses():
@@ -453,67 +429,37 @@ def block_baseline():
     return payload_counts(sink)
 
 
-def test_mode_flip_vectorized_to_scalar(block_baseline):
+def test_block_chain_unfuse_fuse_keeps_vectorized_mode(block_baseline):
     strata = Strata(engine_mode="threaded", obs=True)
     sink = build_chain(strata, records(), block=True)
     strata.start(DeployConfig(plan=True, elastic=MANUAL))
     controller = strata.elastic
     chain = controller.chains[0]
     assert chain.mode == "vectorized"  # the compiler picked the block path
-    assert controller.apply_action(SetChainMode(chain=chain.name, mode="scalar"))
-    assert chain.mode == "scalar"
+    assert controller.apply_action(Unfuse(chain=chain.name))
+    assert chain.mode == "unfused"
+    assert controller.apply_action(Fuse(chain=chain.name))
+    assert chain.mode == "vectorized"  # re-fused members run blocks again
     snap = strata.obs.snapshot()
     modes = {
         s.label("chain"): s.label("mode")
         for s in snap.samples
         if s.name == "elastic_chain_mode"
     }
-    assert modes[chain.name] == "scalar"
+    assert modes[chain.name] == "vectorized"
     assert any(
         s.name == "elastic_replan_actions_total"
-        and s.label("action") == "set_chain_mode"
+        and s.label("action") == "fuse"
         and s.value == 1.0
         for s in snap.samples
     )
     assert any(
         s.name == "elastic_last_adaptation"
-        and s.label("action") == "mode=scalar"
+        and s.label("action") == "fuse"
         for s in snap.samples
     )
     strata.wait(timeout=120)
     assert payload_counts(sink) == block_baseline
-
-
-def test_mode_flip_scalar_to_vectorized(block_baseline):
-    strata = Strata(engine_mode="threaded")
-    sink = build_chain(strata, records(), block=True)
-    strata.start(
-        DeployConfig(plan=PlanConfig(vectorize=False), elastic=MANUAL)
-    )
-    controller = strata.elastic
-    chain = controller.chains[0]
-    assert chain.mode == "scalar" and chain.block_capable
-    assert controller.apply_action(
-        SetChainMode(chain=chain.name, mode="vectorized")
-    )
-    assert chain.mode == "vectorized"
-    strata.wait(timeout=120)
-    assert payload_counts(sink) == block_baseline
-
-
-def test_vectorized_mode_requires_block_capability(baseline):
-    strata = Strata(engine_mode="threaded")
-    sink = build_chain(strata, records())  # scalar-only members
-    strata.start(DeployConfig(plan=True, elastic=MANUAL))
-    controller = strata.elastic
-    chain = controller.chains[0]
-    assert not chain.block_capable
-    assert not controller.apply_action(
-        SetChainMode(chain=chain.name, mode="vectorized")
-    )
-    assert chain.mode == "scalar"
-    strata.wait(timeout=120)
-    assert payload_counts(sink) == baseline
 
 
 # -- tick-driven adaptation ---------------------------------------------------
@@ -654,6 +600,15 @@ def test_deploy_config_replan_unknown_key_dotted_path():
 def test_deploy_config_replan_invalid_value():
     with pytest.raises(DeployConfigError, match=r"\[elastic\.replan\]"):
         DeployConfig.from_dict({"elastic": {"replan": {"cooldown_s": -1.0}}})
+
+
+def test_removed_chain_mode_keys_are_rejected():
+    """Config files naming the removed mode knobs fail loudly."""
+    with pytest.raises(DeployConfigError, match=r"plan\.vectorize"):
+        DeployConfig.from_dict({"plan": {"vectorize": False}})
+    for key in ("vector_min_fill", "vector_queue_fill"):
+        with pytest.raises(DeployConfigError, match=rf"elastic\.replan\.{key}"):
+            DeployConfig.from_dict({"elastic": {"replan": {key: 0.5}}})
 
 
 def test_deploy_config_rejects_table_under_scalar_key():

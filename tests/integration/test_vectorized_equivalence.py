@@ -1,10 +1,12 @@
 """Vectorized plans are observationally equivalent to scalar plans.
 
-ISSUE 7's acceptance: with ``vectorize=True`` the plan compiler swaps the
-fused chain's execution to array-at-a-time kernels, and nothing else may
-change — the expert sink sees the identical result multiset, and
-checkpoints written under either plan shape restore into the other
-(snapshots are keyed by logical node names, not by execution mode).
+A fused chain runs its block-capable members array-at-a-time, and nothing
+else may change: the expert sink sees the same result multiset as the
+synchronous, plan-off oracle — whatever the edge batch size, and with
+the sampling tracer on — and checkpoints written under the unfused
+(scalar, one operator per node) plan and the fused plan restore into
+each other (snapshots are keyed by logical node names, not by plan
+shape).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import time
 import pytest
 
 from repro.core import (
+    DeployConfig,
     Strata,
     UseCaseConfig,
     build_use_case,
@@ -23,15 +26,15 @@ from repro.core import (
 from repro.kvstore.memory import MemoryStore
 from repro.recovery import ChaosInjector, CheckpointCoordinator, RecoveryCoordinator
 from repro.recovery.storage import CheckpointStorage
-from repro.spe import PlanConfig
+from repro.spe import FusedOperator, PlanConfig
 from tests.conftest import TEST_IMAGE_PX
 from tests.recovery.test_crash_recovery import signature
 
 CELL_EDGE = 5
 WINDOW = 4
 
-SCALAR_PLAN = PlanConfig(fusion=True, edge_batch_size=32, vectorize=False)
-VECTOR_PLAN = PlanConfig(fusion=True, edge_batch_size=32, vectorize=True)
+SCALAR_PLAN = PlanConfig(fusion=False, edge_batch_size=32)
+VECTOR_PLAN = PlanConfig(fusion=True, edge_batch_size=32)
 
 
 def _paced(records, delay):
@@ -59,10 +62,10 @@ def _build(
 
 @pytest.fixture(scope="module")
 def oracle_signature(layer_records, reference_images, test_job):
-    """Sink output of the scalar fused plan, the comparison baseline."""
-    strata = Strata(engine_mode="threaded")
+    """Sink output of the synchronous, plan-off engine: the baseline."""
+    strata = Strata(engine_mode="sync")
     pipeline = _build(strata, layer_records, reference_images, test_job)
-    strata.deploy(optimize=SCALAR_PLAN)
+    strata.deploy()
     return signature(pipeline.sink.results)
 
 
@@ -81,11 +84,57 @@ def test_vectorized_plan_output_matches_scalar_plan(
 def test_vectorized_single_tuple_batches_match(
     layer_records, reference_images, test_job, oracle_signature
 ):
-    """edge_batch_size=1: every run is a one-row block (worst-case fill)."""
+    """edge_batch_size=1: images reach the chain one at a time, as paced
+    input does, and the specimens they fan out into still form blocks."""
     strata = Strata(engine_mode="threaded")
     pipeline = _build(strata, layer_records, reference_images, test_job)
-    strata.deploy(optimize=PlanConfig(fusion=True, edge_batch_size=1, vectorize=True))
+    strata.start(DeployConfig(plan=PlanConfig(fusion=True, edge_batch_size=1)))
+    _, nodes = strata._engine.runtime()
+    strata.wait(timeout=60)
     assert signature(pipeline.sink.results) == oracle_signature
+    block_rows = sum(
+        n.operator.block_rows_in
+        for n in nodes
+        if n.kind == "operator" and isinstance(n.operator, FusedOperator)
+    )
+    assert block_rows > 0
+
+
+def test_sampling_tracer_keeps_the_block_path(
+    layer_records, reference_images, test_job, oracle_signature
+):
+    """``obs=True`` traces tuple by tuple; the fused chain still runs blocks."""
+    strata = Strata(engine_mode="threaded", obs=True)
+    assert strata.obs.config.trace_sample_every > 0
+    pipeline = _build(strata, layer_records, reference_images, test_job)
+    strata.deploy(DeployConfig(plan=True))
+    assert signature(pipeline.sink.results) == oracle_signature
+    block_rows = strata.metrics().filter("spe_block_rows_in_total").samples
+    assert sum(s.value for s in block_rows) > 0
+
+
+def test_fused_member_counts_follow_rows_through_blocks(
+    layer_records, reference_images, test_job
+):
+    """Per-member tuple counts are exported for block and scalar members
+    alike, and each member's output is the next member's input."""
+    strata = Strata(engine_mode="threaded", obs=True)
+    _build(strata, layer_records, reference_images, test_job)
+    strata.deploy(DeployConfig(plan=True))
+    members = {}
+    for s in strata.metrics().samples:
+        if s.label("fused_into") is not None:
+            members.setdefault(s.label("operator"), {})[s.name] = s.value
+    chain = ["partition:spec", "partition:cell", "detect:cellLabel"]
+    assert set(chain) <= set(members)
+    # the head sees every fused OT&pp tuple, one per layer
+    assert members["partition:spec"]["spe_tuples_in_total"] == len(layer_records)
+    for upstream, downstream in zip(chain, chain[1:]):
+        assert (
+            members[upstream]["spe_tuples_out_total"]
+            == members[downstream]["spe_tuples_in_total"]
+            > 0
+        )
 
 
 def _checkpointed_store(layer_records, reference_images, test_job, plan):
@@ -107,8 +156,8 @@ def test_checkpoint_manifests_identical_across_execution_modes(
     layer_records, reference_images, test_job
 ):
     """Snapshots are keyed by logical node names: a manifest written under
-    the vectorized plan lists the same nodes and source offsets as one
-    written under the scalar plan."""
+    the fused plan lists the same nodes and source offsets as one written
+    under the unfused plan."""
     scalar = _checkpointed_store(
         layer_records, reference_images, test_job, SCALAR_PLAN
     )

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spe import ColumnarBlock, StreamTuple
-from repro.spe.stream import TupleBatch, item_weight
+from repro.spe.stream import TupleBatch
 
 # Payload values across the packable (float, int) and unpackable (str,
 # bool, None, dict, mixed) cases. bool is an int subclass — the column
@@ -150,10 +150,3 @@ def test_with_columns_adds_without_mutating_original():
     extended = block.with_columns(y=np.array([1.0, 2.0, 3.0]))
     assert "y" not in block.columns
     assert extended.to_tuples()[1].payload == {"x": 1.0, "y": 2.0}
-
-
-def test_blocks_weigh_their_row_count_in_stream_accounting():
-    tuples = [_make_tuple(i, {"x": float(i)}) for i in range(5)]
-    block = ColumnarBlock.from_tuples(tuples)
-    assert item_weight(block) == 5 == item_weight(block.to_tuples())
-    assert item_weight(tuples[0]) == 1

@@ -7,6 +7,7 @@ from repro.spe import (
     END_OF_STREAM,
     CheckpointBarrier,
     CollectingSink,
+    ColumnarBlock,
     FilterOperator,
     FusedOperator,
     JoinOperator,
@@ -21,7 +22,6 @@ from repro.spe import (
     StreamEngine,
     StreamTuple,
     TupleBatch,
-    VectorizedFusedOperator,
     compile_plan,
     fuse_linear_chains,
     render_plan,
@@ -374,9 +374,9 @@ def build_block_chain(scalar_tail=True):
 
 
 def test_vectorize_selects_vectorized_operator_and_records_fallback():
-    fused = fuse_linear_chains(build_block_chain().build(), vectorize=True)
+    fused = fuse_linear_chains(build_block_chain().build())
     node = fused[1]
-    assert isinstance(node.operator, VectorizedFusedOperator)
+    assert type(node.operator) is FusedOperator
     assert node.operator.execution_mode == "vectorized"
     # the scalar-only member is named as the reason the chain is mixed
     assert node.mode_reason == "scalar members: m2"
@@ -388,66 +388,130 @@ def test_vectorize_selects_vectorized_operator_and_records_fallback():
 
 
 def test_fully_block_capable_chain_has_no_fallback_reason():
-    fused = fuse_linear_chains(
-        build_block_chain(scalar_tail=False).build(), vectorize=True
-    )
+    fused = fuse_linear_chains(build_block_chain(scalar_tail=False).build())
     node = fused[1]
-    assert isinstance(node.operator, VectorizedFusedOperator)
+    assert node.operator.execution_mode == "vectorized"
     assert node.mode_reason is None
 
 
-def test_vectorize_off_emits_scalar_fusion_with_reason():
-    fused = fuse_linear_chains(build_block_chain().build(), vectorize=False)
-    node = fused[1]
-    assert type(node.operator) is FusedOperator
-    assert node.operator.execution_mode == "scalar"
-    assert node.mode_reason == "vectorize=off"
-
-
 def test_all_scalar_chain_falls_back_with_reason():
-    fused = fuse_linear_chains(build_chain(3).build(), vectorize=True)
+    fused = fuse_linear_chains(build_chain(3).build())
     node = fused[1]
-    assert type(node.operator) is FusedOperator
+    assert node.operator.execution_mode == "scalar"
     assert node.mode_reason == "no member provides a block variant"
 
 
 def test_render_plan_names_every_chain_mode():
-    config = PlanConfig(vectorize=True)
+    config = PlanConfig()
     nodes = compile_plan(build_block_chain().build(), config)
     text = render_plan(nodes, title="q", config=config)
     assert "mode=vectorized (scalar members: m2)" in text
     assert "1 fused chain, 1 vectorized" in text
-    assert "vectorize=on" in text  # config.describe() line
 
-    off = PlanConfig(vectorize=False)
-    text_off = render_plan(compile_plan(build_block_chain().build(), off), config=off)
-    assert "mode=scalar (vectorize=off)" in text_off
-    assert "vectorized" not in text_off.replace("vectorize=off", "")
-
-
-def test_describe_reports_vectorize_knob():
-    assert "vectorize=on" in PlanConfig().describe()
-    assert "vectorize=off" in PlanConfig(vectorize=False).describe()
+    text_scalar = render_plan(compile_plan(build_chain(3).build(), config))
+    assert "mode=scalar (no member provides a block variant)" in text_scalar
+    assert "vectorized" not in text_scalar
 
 
 def test_vectorized_chain_matches_scalar_chain_output():
     baseline = StreamEngine(mode="sync").run(build_block_chain())
     expected = [t.payload["x"] for t in baseline.sinks["out"].results]
     optimized = StreamEngine(mode="threaded").run(
-        build_block_chain(), plan=PlanConfig(edge_batch_size=4, vectorize=True)
+        build_block_chain(), plan=PlanConfig(edge_batch_size=4)
     )
     assert [t.payload["x"] for t in optimized.sinks["out"].results] == expected
 
 
 def test_vectorized_operator_counts_blocks_and_rows():
-    fused = fuse_linear_chains(
-        build_block_chain(scalar_tail=False).build(), vectorize=True
-    )
+    fused = fuse_linear_chains(build_block_chain(scalar_tail=False).build())
     op = fused[1].operator
     out = op.process_many(tuples(5))
     assert [t.payload["x"] for t in out] == [x + 11 for x in range(5)]
     assert op.blocks_in == 1
     assert op.block_rows_in == 5
+    assert op.member_stats() == {"b0": (5, 5), "b1": (5, 5)}
+
+
+def test_single_tuple_takes_the_block_path():
+    """``process`` is a one-row run: block members still run blocks."""
+    op = fuse_linear_chains(build_block_chain().build())[1].operator
+    for t in tuples(3):
+        assert [o.payload["x"] for o in op.process(0, t)] == [t.payload["x"] + 111]
+    assert op.blocks_in == 3
+    assert op.block_rows_in == 3
+    assert op.member_stats() == {"b0": (3, 3), "b1": (3, 3), "m2": (3, 3)}
+
+
+def test_ineligible_rows_keep_their_stream_position():
+    class Picky(BlockBump):
+        def block_eligible(self, t):
+            return t.payload["x"] % 2 == 0
+
+    q = Query()
+    q.add_source("src", ListSource("src", tuples(6)))
+    q.add_operator("p0", Picky("p0", 1), "src")
+    q.add_operator("p1", Picky("p1", 10), "p0")
+    q.add_sink("out", CollectingSink(), "p1")
+    op = fuse_linear_chains(q.build())[1].operator
+    out = op.process_many(tuples(6))
+    assert [t.payload["x"] for t in out] == [x + 11 for x in range(6)]
+    # the even rows form one block per run between the odd ones
+    assert op.blocks_in == 3
+    assert op.block_rows_in == 3
+
+
+class BlockHold(BlockBump):
+    """Block-capable member that holds its newest row until close."""
+
+    def __init__(self, name, k=1):
+        super().__init__(name, k)
+        self.held = []
+
+    def process(self, input_index, t):
+        released, self.held = self.held, [super().process(0, t)[0]]
+        return released
+
+    def process_block(self, block):
+        rows = super().process_block(block).to_tuples()
+        released, self.held = self.held + rows[:-1], rows[-1:]
+        return ColumnarBlock.from_tuples(released) if released else block.take([])
+
+    def on_close(self):
+        released, self.held = self.held, []
+        return released
+
+
+def test_close_cascade_enters_a_block_group_mid_run():
+    """A member's close output starts the cascade inside a block group."""
+    def build():
+        q = Query()
+        q.add_source("src", ListSource("src", tuples(4)))
+        q.add_operator("h0", BlockHold("h0", 1), "src")
+        q.add_operator("b1", BlockBump("b1", 10), "h0")
+        q.add_sink("out", CollectingSink(), "b1")
+        return q
+
+    expected = [
+        t.payload["x"]
+        for t in StreamEngine(mode="sync").run(build()).sinks["out"].results
+    ]
+    assert expected == [11, 12, 13, 14]
+    op = fuse_linear_chains(build().build())[1].operator
+    out = op.process_many(tuples(4)) + op.on_close()
+    assert [t.payload["x"] for t in out] == expected
+    # four rows entered at h0, then the held row entered mid-group at b1
+    assert (op.blocks_in, op.block_rows_in) == (2, 5)
+
+
+def test_schema_change_splits_the_block():
+    op = fuse_linear_chains(build_block_chain(scalar_tail=False).build())[1].operator
+    run = tuples(2) + [
+        StreamTuple(tau=9.0, job="j", layer=9, payload={"x": 9, "y": 1})
+    ]
+    out = op.process_many(run)
+    assert [t.payload["x"] for t in out] == [11, 12, 20]
+    assert out[-1].payload["y"] == 1
+    assert op.blocks_in == 2
 
 
 # -- batched transport -------------------------------------------------------

@@ -3,8 +3,8 @@
 Deploys both pipelines on a threaded Strata and checks the contract the
 benchmarks and examples rely on: every layer yields one result per
 region (forecast) or one per plate (reconstruction), the plan compiler
-picks the vectorized mode for the estimator/feature chains, scalar and
-vectorized plans emit identical results, the power spike raises
+picks the vectorized mode for the estimator/feature chains, unfused
+(scalar) and fused (vectorized) plans emit identical results, the power spike raises
 predictive QoS alerts ahead of the breach, and the fleet runner treats
 both workloads as deterministic first-class kinds.
 """
@@ -98,12 +98,10 @@ class TestForecastPipeline:
         assert "detect:forecast" in explain
 
     def test_scalar_and_vectorized_plans_are_identical(self, small_build):
-        scalar = _run_forecast(small_build, plan_config=PlanConfig(vectorize=False))
-        vectorized = _run_forecast(
-            small_build, plan_config=PlanConfig(vectorize=True)
-        )
+        scalar = _run_forecast(small_build, plan_config=PlanConfig(fusion=False))
+        vectorized = _run_forecast(small_build, plan_config=PlanConfig())
         assert "mode=vectorized" not in str(
-            scalar.strata.explain(PlanConfig(vectorize=False))
+            scalar.strata.explain(PlanConfig(fusion=False))
         )
         assert _forecast_keys(scalar.sink.results) == _forecast_keys(
             vectorized.sink.results
